@@ -20,14 +20,14 @@ from repro.analysis.metrics import (
     mean_success_rate,
     success_rate,
 )
-from repro.annealing.moves import (
+from repro.dynamics.moves import (
     KnapsackNeighborhoodMove,
     MoveGenerator,
     OneHotGroupMove,
     PermutationSwapMove,
     SingleFlipMove,
 )
-from repro.annealing.schedule import GeometricSchedule
+from repro.dynamics.schedule import GeometricSchedule
 from repro.cim.cost_model import (
     CostModelParameters,
     dqubo_hardware_cost,

@@ -54,8 +54,8 @@ build a :class:`~repro.kernels.SweepKernel` and drive it block-wise, with
 :meth:`LoopDriver.block_length` placing block boundaries exactly where an
 exchange round or telemetry probe is due.  ``kernel="reference"`` (the
 default) is the engines' original loop body moved verbatim;
-``kernel="fused"`` / ``"numba"`` are the incremental local-field kernels
-(same RNG draws, different arithmetic -- exact on integer data); see
+``kernel="fused"`` / ``"packed"`` are the incremental kernels (same RNG
+draws, different arithmetic -- exact on integer data); see
 :mod:`repro.kernels.base` for the backend matrix.
 """
 
@@ -199,7 +199,7 @@ class BatchedSimulatedAnnealer:
             :func:`repro.dynamics.exchange_stream` /
             :func:`repro.dynamics.shared_stream`).
         kernel:
-            Sweep-kernel backend (``"reference"``/``"fused"``/``"numba"``/
+            Sweep-kernel backend (``"reference"``/``"fused"``/``"packed"``/
             ``"auto"``; see :mod:`repro.kernels.base`).  ``None`` means the
             reference backend, whose trajectories this docstring describes.
         feasibility_constraints:
@@ -417,7 +417,7 @@ class BatchedHyCiMSolver:
         -- between rungs; on a device axis the chips stay put (replica ``k``
         keeps annealing chip ``k``, only its configuration migrates).
 
-        ``kernel`` selects the sweep-kernel backend; the fused/JIT kernels
+        ``kernel`` selects the sweep-kernel backend; the fused/packed kernels
         cover the software-mode single-flip configuration (exact on integer
         data), hardware modes run on the reference backend (what ``"auto"``
         falls back to).

@@ -229,7 +229,7 @@ def sa_batched_trials(
             exchange_rng=exchange_rng,
             shared_rng=shared_rng,
             kernel=params.get("kernel"),
-            # The fused/JIT backends trade the opaque batch filter for
+            # The fused/packed backends trade the opaque batch filter for
             # incrementally maintained linear constraint loads; ``None``
             # (no linear form) makes them report unsupported, which "auto"
             # turns into a reference-backend fallback.
@@ -318,7 +318,7 @@ def dqubo_batched_trials(
         inner = BatchedSimulatedAnnealer(annealer).anneal(
             transformation.qubo, extended, rngs, dynamics=dynamics,
             exchange_rng=exchange_rng, shared_rng=shared_rng,
-            # The penalty QUBO is annealed unconstrained, so the fused/JIT
+            # The penalty QUBO is annealed unconstrained, so the fused/packed
             # backends apply without a linear-feasibility form.
             kernel=params.get("kernel"))
         results: List[SolveResult] = [

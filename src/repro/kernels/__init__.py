@@ -4,8 +4,8 @@ See :mod:`repro.kernels.base` for the interface and the backend matrix.
 The factories here are what the engines call: given a backend name (or
 ``"auto"``) and the engine's loop state, they construct the matching
 :class:`~repro.kernels.base.SweepKernel`, falling back along
-``numba -> packed -> fused -> reference`` when ``"auto"`` meets an
-unsupported configuration or a missing optional dependency.
+``packed -> fused -> reference`` when ``"auto"`` meets an unsupported
+configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Optional
 from repro.kernels.base import (
     DEFAULT_KERNEL,
     KERNEL_BACKENDS,
-    KernelUnavailableError,
     KernelUnsupportedError,
     SweepKernel,
     canonical_kernel_param,
@@ -30,7 +29,6 @@ __all__ = [
     "KERNEL_BACKENDS",
     "FusedHyCiMKernel",
     "FusedSAKernel",
-    "KernelUnavailableError",
     "KernelUnsupportedError",
     "PackedHyCiMKernel",
     "PackedSAKernel",
@@ -44,9 +42,9 @@ __all__ = [
 ]
 
 #: ``"auto"`` tries backends in this order, falling through on
-#: KernelUnsupportedError / KernelUnavailableError; the reference backend
-#: supports everything, so "auto" never fails for support reasons.
-AUTO_ORDER = ("numba", "packed", "fused", "reference")
+#: KernelUnsupportedError; the reference backend supports everything, so
+#: "auto" never fails for support reasons.
+AUTO_ORDER = ("packed", "fused", "reference")
 
 
 def _build(backend: Optional[str], builders: dict) -> SweepKernel:
@@ -57,7 +55,7 @@ def _build(backend: Optional[str], builders: dict) -> SweepKernel:
     for candidate in AUTO_ORDER:
         try:
             return builders[candidate]()
-        except (KernelUnsupportedError, KernelUnavailableError) as error:
+        except KernelUnsupportedError as error:
             last_error = error
     raise last_error  # pragma: no cover - reference never raises
 
@@ -95,19 +93,8 @@ def make_sa_kernel(kernel: Optional[str], *, matrix, offset, driver,
             accept_filter_batch=accept_filter_batch,
             constraints=feasibility_constraints, generators=generators)
 
-    def numba() -> SweepKernel:
-        from repro.kernels.jit import JitSAKernel
-
-        return JitSAKernel(
-            matrix=matrix, offset=offset, driver=driver,
-            single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, current=current,
-            current_energy=current_energy, accept_filter=accept_filter,
-            accept_filter_batch=accept_filter_batch,
-            constraints=feasibility_constraints, generators=generators)
-
     return _build(kernel, {"reference": reference, "fused": fused,
-                           "packed": packed, "numba": numba})
+                           "packed": packed})
 
 
 def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
@@ -148,17 +135,5 @@ def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
             use_hardware_filters=use_hardware_filters,
             use_crossbar=use_crossbar, generators=generators)
 
-    def numba() -> SweepKernel:
-        from repro.kernels.jit import JitHyCiMKernel
-
-        return JitHyCiMKernel(
-            matrix=matrix, driver=driver, single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, constraints=constraints,
-            current=current, current_energy=current_energy,
-            current_feasible=current_feasible,
-            raw_energy=raw_energy if use_delta else None,
-            use_hardware_filters=use_hardware_filters,
-            use_crossbar=use_crossbar, generators=generators)
-
     return _build(kernel, {"reference": reference, "fused": fused,
-                           "packed": packed, "numba": numba})
+                           "packed": packed})

@@ -15,8 +15,8 @@ A kernel owns the travelling sweep state (configurations, energies,
 best-so-far, proposal counters) and advances it ``block`` iterations per
 :meth:`SweepKernel.run_block` call.  :class:`~repro.dynamics.driver.
 LoopDriver` stays the single authority on temperatures, RNG draws,
-acceptance and exchange -- kernels call back into it (or, for the JIT
-backend, replay its draw streams bit-exactly) -- and
+acceptance and exchange -- kernels call back into it (or replay its draw
+streams bit-exactly, see :mod:`repro.kernels.streams`) -- and
 :meth:`~repro.dynamics.driver.LoopDriver.block_length` guarantees blocks end
 exactly where an exchange round or telemetry probe is due.
 
@@ -43,17 +43,11 @@ Backends
     field sums are exact int64, hence bit-identical to the float caches)
     and a plane table within the :data:`repro.kernels.bits.MAX_MASK_BYTES`
     budget, else :class:`KernelUnsupportedError`.
-``"numba"``
-    The fused loop JIT-compiled (:mod:`repro.kernels.jit`), replaying each
-    replica's PCG64 stream bit-exactly inside the compiled block.  Only
-    available when :mod:`numba` is importable; selecting it otherwise
-    raises :class:`KernelUnavailableError`.
 ``"auto"``
     The fastest backend that supports the requested configuration
-    (``numba`` > ``packed`` > ``fused`` > ``reference``); never raises for
-    support reasons.  Note the resolved backend depends on the environment
-    (numba present or not), so persisted runs that must be reproducible
-    elsewhere should pin an explicit backend instead.
+    (``packed`` > ``fused`` > ``reference``); never raises for support
+    reasons.  The choice depends only on the run's configuration and data,
+    so one run key resolves to the same backend on every host.
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ from typing import Optional
 
 __all__ = [
     "KERNEL_BACKENDS",
-    "KernelUnavailableError",
     "KernelUnsupportedError",
     "SweepKernel",
     "canonical_kernel_param",
@@ -71,7 +64,7 @@ __all__ = [
 
 #: Explicit kernel backends, fastest last.  ``"auto"`` resolves to one of
 #: these at engine-construction time.
-KERNEL_BACKENDS = ("reference", "fused", "packed", "numba")
+KERNEL_BACKENDS = ("reference", "fused", "packed")
 
 #: The backend engines use when none is requested (and the one the golden
 #: trajectory suite pins byte-for-byte).
@@ -85,10 +78,6 @@ class KernelUnsupportedError(ValueError):
     feature named, e.g. hardware-mode evaluation under ``"fused"``.  The
     ``"auto"`` backend catches this and falls back to the next backend.
     """
-
-
-class KernelUnavailableError(RuntimeError):
-    """The selected backend's optional dependency is not importable."""
 
 
 def resolve_kernel_backend(kernel: Optional[str]) -> str:
@@ -116,9 +105,9 @@ def canonical_kernel_param(kernel: Optional[str]) -> Optional[str]:
     runs that never mention ``kernel`` and runs that spell out
     ``kernel="reference"`` address the same persisted run -- and every run
     key minted before the kernel layer existed stays valid.  Non-default
-    backends stay in the params: ``"fused"``/``"numba"`` are only *exactly*
-    equal to the reference on integer-valued instances, so conservatively
-    they address their own runs.
+    backends stay in the params: ``"fused"`` is only *exactly* equal to the
+    reference on integer-valued instances, so conservatively every
+    non-default backend addresses its own runs.
     """
     name = resolve_kernel_backend(kernel)
     return None if name == DEFAULT_KERNEL else name
@@ -161,8 +150,9 @@ class SweepKernel:
         raise NotImplementedError
 
     def finalize(self) -> None:
-        """Hook run once after the last block (JIT kernels write RNG state
-        back to the replicas' generators here).  Default: nothing."""
+        """Hook run once after the last block (kernels that replay RNG
+        streams write their state back to the replicas' generators here).
+        Default: nothing."""
 
     def state_nbytes_per_replica(self) -> float:
         """Bytes of travelling per-replica sweep state.

@@ -7,10 +7,9 @@ calls each replica's ``Generator.integers`` one at a time, and
 ``M = 32`` those two loops cost more than the whole incremental sweep.
 
 :class:`ReplayStreams` removes them by replaying every replica's PCG64
-stream in numpy uint64 lanes -- the same limb arithmetic the numba backend
-compiles (see :mod:`repro.kernels.jit`), applied batch-wide.  Advancing the
-128-bit LCG one draw at a time would still cost a dozen numpy calls per
-proposal, so the replay exploits that the LCG is affine:
+stream in numpy uint64 lanes (128-bit LCG arithmetic on 64-bit limbs),
+batch-wide.  Advancing the LCG one draw at a time would still cost a dozen
+numpy calls per proposal, so the replay exploits that the LCG is affine:
 
     state_j = MULT**j * state_0  +  (MULT**j - 1) / (MULT - 1) * inc
 

@@ -39,7 +39,7 @@ from repro.runtime.registry import (
     SpecLike,
     as_solver_spec,
 )
-from repro.telemetry.recorder import current_recorder, use_recorder
+from repro.telemetry.recorder import resolve_recorder, use_recorder
 
 ReferenceProvider = Union[
     Mapping[str, float], Callable[[CombinatorialProblem], float], None
@@ -238,7 +238,9 @@ def run_campaign(
         recorder instance wraps the whole sweep in a ``campaign`` span and
         captures every cell's run; ``telemetry=True`` (requires ``store``)
         makes each cell persist its own JSONL sidecar under its run key;
-        ``None`` reports to the ambient recorder (telemetry off by default).
+        ``None`` reports to the ambient recorder (telemetry off by default);
+        ``False`` turns recording off for the whole sweep, even under an
+        ambient recorder.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")
@@ -253,8 +255,7 @@ def run_campaign(
     # An explicit recorder becomes ambient for the whole sweep, so the
     # campaign span wraps every cell's run span; telemetry=True stays True
     # per cell (each cell persists its own sidecar under its run key).
-    recorder = (telemetry if telemetry is not None and telemetry is not True
-                else current_recorder())
+    recorder = resolve_recorder(telemetry)
     cell_telemetry = True if telemetry is True else None
 
     # Hierarchical spawn: one child sequence per problem, then one per spec.

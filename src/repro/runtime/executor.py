@@ -64,7 +64,7 @@ from repro.telemetry.recorder import (
     NULL_RECORDER,
     JsonlRecorder,
     RecorderSpec,
-    current_recorder,
+    resolve_recorder,
     task_scope,
     use_recorder,
     worker_attrs,
@@ -417,9 +417,10 @@ def run_trials(
         :class:`~repro.telemetry.InMemoryRecorder`) to capture this run, or
         ``telemetry=True`` with a ``store`` to persist a JSONL sidecar under
         the run key (``store.telemetry_path(run_key)``; inspect with
-        ``python -m repro.telemetry``).  Telemetry never consumes solver
-        RNG, so results are bit-identical with any recorder.  On the
-        ``"process"`` backend a live recorder handle is never shipped to
+        ``python -m repro.telemetry``).  ``telemetry=False`` turns recording
+        off for this run, even under an ambient recorder.  Telemetry never
+        consumes solver RNG, so results are bit-identical with any recorder.
+        On the ``"process"`` backend a live recorder handle is never shipped to
         pool workers (a sidecar needs a single writer): when the recorder
         has an on-disk identity (``telemetry=True`` or a passed
         :class:`~repro.telemetry.JsonlRecorder`), each worker instead
@@ -562,10 +563,8 @@ def run_trials(
     if telemetry is True:
         created_recorder = store.telemetry_recorder(run_key)
         recorder = created_recorder
-    elif telemetry is not None:
-        recorder = telemetry
     else:
-        recorder = current_recorder()
+        recorder = resolve_recorder(telemetry)
     prior_wall_time = 0.0
     if store is not None and resume:
         prior_wall_time = store.accumulated_wall_time(run_key)

@@ -21,7 +21,7 @@ from repro.problems.base import CombinatorialProblem
 from repro.runtime.aggregate import TrialStatistics, aggregate_trials, race_key
 from repro.runtime.executor import TrialBatch, concatenate_batches, run_trials
 from repro.runtime.registry import DETERMINISTIC_SOLVERS, SpecLike, as_solver_spec
-from repro.telemetry.recorder import current_recorder, use_recorder
+from repro.telemetry.recorder import resolve_recorder, use_recorder
 
 #: Default portfolio: fast greedy seed, local-search reference, HyCiM anneal.
 DEFAULT_PORTFOLIO: Sequence[SpecLike] = ("greedy", "local_search", "hycim")
@@ -111,7 +111,8 @@ def run_portfolio(
         recorder instance wraps the race in a ``portfolio`` span and captures
         every member's run; ``telemetry=True`` (requires ``store``) persists
         one JSONL sidecar per member run; ``None`` reports to the ambient
-        recorder (telemetry off by default).
+        recorder (telemetry off by default); ``False`` turns recording off
+        for the whole race, even under an ambient recorder.
     """
     specs = [as_solver_spec(spec) for spec in solvers]
     if not specs:
@@ -133,8 +134,7 @@ def run_portfolio(
     # An explicit recorder becomes ambient for the race, so the portfolio
     # span wraps every member's run span; telemetry=True stays True per
     # member (each member run persists its own sidecar).
-    recorder = (telemetry if telemetry is not None and telemetry is not True
-                else current_recorder())
+    recorder = resolve_recorder(telemetry)
     member_telemetry = True if telemetry is True else None
 
     maximize = getattr(problem, "is_maximization", True)

@@ -529,6 +529,21 @@ def set_recorder(recorder: Optional[NullRecorder]) -> NullRecorder:
     return previous
 
 
+def resolve_recorder(telemetry: Union[bool, NullRecorder, None]) -> NullRecorder:
+    """The recorder a run's ``telemetry`` argument selects.
+
+    ``False`` is the null recorder (off even under an ambient recorder), a
+    recorder instance is itself, and ``None`` is the ambient recorder.
+    ``True`` also resolves to the ambient recorder here: the runtime entry
+    points build its per-run store sidecar themselves.
+    """
+    if telemetry is False:
+        return NULL_RECORDER
+    if telemetry is None or telemetry is True:
+        return current_recorder()
+    return telemetry
+
+
 @contextmanager
 def use_recorder(recorder: Optional[NullRecorder]) -> Iterator[NullRecorder]:
     """Make ``recorder`` ambient for the duration of the ``with`` block."""

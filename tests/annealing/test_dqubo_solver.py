@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.annealing.dqubo_solver import DQUBOAnnealer
-from repro.annealing.schedule import GeometricSchedule
+from repro.dynamics.schedule import GeometricSchedule
 from repro.core.dqubo import SlackEncoding
 
 
@@ -89,12 +89,6 @@ class TestSolving:
             key=lambda r: r.best_objective or 0.0,
         )
         assert best.best_objective >= 0.8 * 25.0
-
-    def test_solve_many(self, tiny_qkp):
-        annealer = DQUBOAnnealer(tiny_qkp, num_iterations=50, seed=4)
-        initials = np.zeros((3, 3))
-        results = annealer.solve_many(initials)
-        assert len(results) == 3
 
     def test_hardware_mode_solves(self, tiny_qkp):
         annealer = DQUBOAnnealer(tiny_qkp, num_iterations=100, use_hardware=True, seed=5)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.annealing.hycim import HyCiMSolver
-from repro.annealing.moves import KnapsackNeighborhoodMove
-from repro.annealing.schedule import GeometricSchedule
+from repro.dynamics.moves import KnapsackNeighborhoodMove
+from repro.dynamics.schedule import GeometricSchedule
 from repro.core.transformation import InequalityQUBO
 from repro.core.qubo import QUBOModel
 from repro.exact.brute_force import solve_brute_force
@@ -96,13 +96,6 @@ class TestSolving:
         assert len(result.energy_history) == 50
         assert all(a >= b for a, b in zip(result.energy_history,
                                           result.energy_history[1:]))
-
-    def test_solve_many_runs_one_descent_per_initial(self, tiny_qkp):
-        solver = HyCiMSolver(tiny_qkp, use_hardware=False, num_iterations=100, seed=6)
-        initials = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
-        results = solver.solve_many(initials)
-        assert len(results) == 3
-        assert all(r.feasible for r in results)
 
 
 class TestUnconstrainedProblems:

@@ -1,21 +1,15 @@
-"""Backend parity: fused, packed (and interpreted-JIT) kernels vs reference.
+"""Backend parity: fused and packed kernels vs reference.
 
 The contract from :mod:`repro.kernels.base`: on integer-valued instances the
 fused backend consumes the same RNG draws and produces *exactly* equal
 trajectories -- best energies, configurations, proposal counters, recorded
 histories, and (crucially) the final per-replica generator states, so a
 kernel swap mid-campaign cannot desynchronise a seeded experiment.
-
-The JIT kernels are exercised here through their interpreted fallback
-(``_ALLOW_INTERPRETED``), so the compiled path's draw-replay logic is
-covered even where numba is not installed; the CI optional-deps job re-runs
-this module with numba present to cover the compiled path itself.
 """
 
 import numpy as np
 import pytest
 
-import repro.kernels.jit as jit_module
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
@@ -76,12 +70,8 @@ def assert_exact_parity(reference, other, generator_pairs=None):
             assert state_a["uinteger"] == state_b["uinteger"]
 
 
-@pytest.fixture(params=["fused", "packed", "numba"])
-def backend(request, monkeypatch):
-    if request.param == "numba":
-        # Run the JIT kernels interpreted when numba is missing -- the
-        # stream-replay and commit logic is identical either way.
-        monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
+@pytest.fixture(params=["fused", "packed"])
+def backend(request):
     return request.param
 
 

@@ -17,7 +17,6 @@ from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
 from repro.kernels import (
-    KernelUnavailableError,
     KernelUnsupportedError,
     canonical_kernel_param,
     make_sa_kernel,
@@ -27,14 +26,6 @@ from repro.kernels.reference import ReferenceSAKernel
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 from repro.store import CampaignStore
-
-
-def _has_numba():
-    try:
-        import numba  # noqa: F401
-        return True
-    except ImportError:
-        return False
 
 
 @pytest.fixture(scope="module")
@@ -155,16 +146,18 @@ class TestConstructionFallbacks:
             make_sa_kernel("fused",
                            **_kernel_args(problem, single_flip=False))
 
-    @pytest.mark.skipif(_has_numba(), reason="numba is installed")
-    def test_numba_unavailable_raises(self, problem):
-        with pytest.raises(KernelUnavailableError, match="numba"):
+    def test_numba_is_an_unknown_backend(self, problem):
+        with pytest.raises(ValueError,
+                           match="unknown kernel backend 'numba'") as error:
             make_sa_kernel("numba", **_kernel_args(problem))
+        for name in ("reference", "fused", "packed", "auto"):
+            assert repr(name) in str(error.value)
 
     def test_auto_never_fails_for_support_reasons(self, problem):
         # The QKP matrix is integer-valued, so auto lands on the fastest
-        # pure-NumPy backend (packed) unless numba is importable.
+        # backend, packed, on every host.
         kernel = make_sa_kernel("auto", **_kernel_args(problem))
-        assert kernel.backend in ("packed", "numba")
+        assert kernel.backend == "packed"
 
     def test_auto_falls_back_to_fused_on_float_matrices(self, problem):
         # Non-integer coefficients void the popcount exactness guarantee:
@@ -172,10 +165,36 @@ class TestConstructionFallbacks:
         args = _kernel_args(problem)
         args["matrix"] = args["matrix"] + 0.25
         kernel = make_sa_kernel("auto", **args)
-        assert kernel.backend in ("fused", "numba")
+        assert kernel.backend == "fused"
 
     def test_explicit_packed_raises_on_float_matrices(self, problem):
         args = _kernel_args(problem)
         args["matrix"] = args["matrix"] + 0.25
         with pytest.raises(KernelUnsupportedError, match="integer-valued"):
             make_sa_kernel("packed", **args)
+
+
+class TestAutoResolution:
+    """``auto`` resolves from the run's configuration and data alone, so a
+    run key picks the same kernel on every host (the engines record the
+    resolved backend in each result's metadata; the reference backend is
+    recorded by omission)."""
+
+    @pytest.mark.parametrize("solver,params", [
+        ("hycim", PARAMS),
+        ("sa", {"num_iterations": 60}),
+    ], ids=["hycim", "sa"])
+    def test_auto_runs_packed_on_integer_software_runs(self, problem,
+                                                       solver, params):
+        batch = run_trials(problem, solver, num_trials=3,
+                           params=dict(params, kernel="auto"),
+                           backend="vectorized", master_seed=6)
+        assert [r.metadata.get("kernel") for r in batch.results] == \
+            ["packed"] * 3
+
+    def test_auto_runs_reference_in_hardware_mode(self, problem):
+        batch = run_trials(problem, "hycim", num_trials=3,
+                           params=dict(PARAMS, use_hardware=True,
+                                       kernel="auto"),
+                           backend="vectorized", master_seed=6)
+        assert all("kernel" not in r.metadata for r in batch.results)

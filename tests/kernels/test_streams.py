@@ -1,6 +1,6 @@
 """ReplayStreams vs real NumPy generators: bit-exact draw replay.
 
-The fused/JIT kernels vectorise the per-replica PCG64 streams instead of
+The fused/packed kernels vectorise the per-replica PCG64 streams instead of
 calling each ``Generator`` in a Python loop.  These tests pin the replay
 contract against NumPy itself: every ``uniforms``/``integers`` draw matches
 what the corresponding ``Generator`` would have produced (including Lemire

@@ -58,6 +58,20 @@ class TestSpans:
                        master_seed=1)
         assert recorder.events_of_kind("span_start")
 
+    @pytest.mark.parametrize("backend", ["serial", "vectorized", "process"])
+    def test_telemetry_false_silences_ambient_recorder(self, problem,
+                                                       backend):
+        recorder = InMemoryRecorder(probe_interval=20)
+        kwargs = dict(num_trials=2, master_seed=1, backend=backend)
+        if backend == "process":
+            kwargs["num_workers"] = 2
+        plain = run_trials(problem, ("hycim", HYCIM_FAST), **kwargs)
+        with use_recorder(recorder):
+            silenced = run_trials(problem, ("hycim", HYCIM_FAST),
+                                  telemetry=False, **kwargs)
+        assert recorder.events == []
+        assert _fingerprint(silenced) == _fingerprint(plain)
+
     def test_counters_count_trials(self, problem):
         recorder = InMemoryRecorder(probe_interval=20)
         run_trials(problem, ("hycim", HYCIM_FAST), num_trials=3,
@@ -174,6 +188,17 @@ class TestParity:
 
 
 class TestSidecar:
+    def test_telemetry_false_writes_no_sidecar(self, problem, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        plain = run_trials(problem, ("hycim", HYCIM_FAST), num_trials=2,
+                           master_seed=3, store=CampaignStore(tmp_path / "a"))
+        silenced = run_trials(problem, ("hycim", HYCIM_FAST), num_trials=2,
+                              master_seed=3, store=store, telemetry=False)
+        # Telemetry is not key material: False addresses the same run.
+        assert silenced.run_key == plain.run_key
+        assert not store.telemetry_path(silenced.run_key).exists()
+        assert store.telemetry_shard_paths(silenced.run_key) == []
+
     def test_telemetry_true_requires_store(self, problem):
         with pytest.raises(ValueError, match="store"):
             run_trials(problem, ("hycim", HYCIM_FAST), num_trials=1,
@@ -249,6 +274,33 @@ class TestCampaignPortfolio:
         runs = [e for e in starts if e["name"] == "run"]
         assert len(runs) == 2
         assert all(e["parent"] == portfolio["span"] for e in runs)
+
+    def test_campaign_telemetry_false_silences_ambient_recorder(self,
+                                                                problem):
+        recorder = InMemoryRecorder(probe_interval=50)
+        plain = run_campaign([problem], [("hycim", HYCIM_FAST)],
+                             num_trials=2, master_seed=1)
+        with use_recorder(recorder):
+            silenced = run_campaign([problem], [("hycim", HYCIM_FAST)],
+                                    num_trials=2, master_seed=1,
+                                    telemetry=False)
+        assert recorder.events == []
+        assert silenced.fingerprint() == plain.fingerprint()
+
+    def test_portfolio_telemetry_false_silences_ambient_recorder(self,
+                                                                 problem):
+        recorder = InMemoryRecorder(probe_interval=50)
+        solvers = ("greedy", ("hycim", HYCIM_FAST))
+        plain = run_portfolio(problem, solvers=solvers, num_trials=2,
+                              master_seed=1)
+        with use_recorder(recorder):
+            silenced = run_portfolio(problem, solvers=solvers, num_trials=2,
+                                     master_seed=1, telemetry=False)
+        assert recorder.events == []
+        assert silenced.winner == plain.winner
+        for label, batch in plain.batches.items():
+            np.testing.assert_array_equal(
+                silenced.batches[label].best_energies, batch.best_energies)
 
     def test_campaign_telemetry_true_persists_per_cell(self, problem,
                                                        tmp_path):
