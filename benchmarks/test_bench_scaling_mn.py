@@ -35,7 +35,7 @@ from repro.batched.kernels import batched_energies
 from repro.dynamics import Dynamics
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.schedule import GeometricSchedule
-from repro.kernels import make_sa_kernel
+from repro.kernels import make_hycim_kernel
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 
@@ -294,17 +294,19 @@ class TestPackedKernelThroughputFloor:
         for backend in ("fused", "packed"):
             generators = [np.random.default_rng([17, replica])
                           for replica in range(PACKED_REPLICAS)]
-            kernel = make_sa_kernel(
-                backend,
-                matrix=matrix, offset=0.0,
+            energy = batched_energies(matrix, starts)
+            # SA is the HyCiM sweep with every incumbent feasible.
+            kernel = make_hycim_kernel(
+                backend, num_variables=PACKED_N,
                 driver=LoopDriver(GeometricSchedule(*PACKED_SCHEDULE), 10,
                                   generators),
                 move_generator=None, single_flip=True,
-                moves_per_iteration=1, current=starts.copy(),
-                current_energy=batched_energies(matrix, starts),
-                accept_filter_batch=problem.is_feasible_batch,
-                feasibility_constraints=(
-                    problem.linear_feasibility_constraints()),
+                moves_per_iteration=1, feasible_batch=None, energies=None,
+                current=starts.copy(), current_energy=energy,
+                current_feasible=np.ones(PACKED_REPLICAS, dtype=bool),
+                use_delta=True, matrix=matrix, raw_energy=energy.copy(),
+                constraints=problem.linear_feasibility_constraints(),
+                use_hardware_filters=False, use_crossbar=False,
                 generators=generators)
             nbytes[backend] = kernel.state_nbytes_per_replica()
 

@@ -52,11 +52,12 @@ scalar trajectories bit for bit.
 state update, best tracking -- lives in :mod:`repro.kernels`; the engines
 build a :class:`~repro.kernels.SweepKernel` and drive it block-wise, with
 :meth:`LoopDriver.block_length` placing block boundaries exactly where an
-exchange round or telemetry probe is due.  ``kernel="reference"`` (the
-default) is the engines' original loop body moved verbatim;
-``kernel="fused"`` / ``"packed"`` are the incremental kernels (same RNG
-draws, different arithmetic -- exact on integer data); see
-:mod:`repro.kernels.base` for the backend matrix.
+exchange round or telemetry probe is due.  Both engines build the same
+HyCiM sweep; :class:`BatchedSimulatedAnnealer` runs it with every incumbent
+counted feasible.  ``kernel="reference"`` (the default) is the original
+loop body moved verbatim; ``kernel="fused"`` / ``"packed"`` are the
+incremental kernels (same RNG draws, different arithmetic -- exact on
+integer data); see :mod:`repro.kernels.base` for the backend matrix.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def _check_replica_generators(rngs: Sequence[np.random.Generator],
 
 def _drive_kernel(driver: LoopDriver, kernel, total_iterations: int,
                   record_history: bool, histories: List[List[float]],
-                  solver_name: str) -> None:
+                  solver_name: str,
+                  feasible_mask: Optional[np.ndarray] = None) -> None:
     """Advance a sweep kernel block-wise to the end of the run.
 
     Block boundaries come from :meth:`LoopDriver.block_length`, so exchange
@@ -114,6 +116,8 @@ def _drive_kernel(driver: LoopDriver, kernel, total_iterations: int,
     per-iteration loop fired them at; a per-iteration energy history forces
     blocks of one.  Calling :meth:`maybe_exchange` at a non-exchange
     boundary is a no-op, as in the per-iteration convention.
+    ``feasible_mask`` is the kernel's incumbent-feasibility array (updated
+    in place) when probes should report ``feasible_replicas``.
     """
     limit = 1 if record_history else None
     num_replicas = kernel.current_energy.shape[0]
@@ -133,12 +137,34 @@ def _drive_kernel(driver: LoopDriver, kernel, total_iterations: int,
                 num_accepted=kernel.num_accepted,
                 num_feasible=kernel.num_feasible,
                 num_skipped=kernel.num_skipped,
-                feasible_mask=getattr(kernel, "current_feasible", None),
+                feasible_mask=feasible_mask,
                 final=iteration == total_iterations)
         if record_history:
             for k in range(num_replicas):
                 histories[k].append(float(kernel.best_energy[k]))
     kernel.finalize()
+
+
+def _sa_feasibility(accept_filter: Optional[RowFilter],
+                    accept_filter_batch: Optional[BatchFilter],
+                    feasibility_constraints):
+    """SA's filter hooks as a HyCiM kernel's ``(feasible_batch, constraints)``.
+
+    The precedence is the scalar annealer's: the batch filter, else the row
+    filter, else every candidate passes.  ``constraints`` is the filter's
+    linear form for the fused/packed backends: ``()`` without a filter, and
+    ``None`` for an opaque one, which those backends report as unsupported
+    (``"auto"`` then falls back to the reference backend).
+    """
+    if accept_filter_batch is not None:
+        return (lambda batch: np.asarray(accept_filter_batch(batch),
+                                         dtype=bool),
+                feasibility_constraints)
+    if accept_filter is not None:
+        return (lambda batch: np.array([bool(accept_filter(row))
+                                        for row in batch], dtype=bool),
+                None)
+    return (lambda batch: np.ones(batch.shape[0], dtype=bool)), ()
 
 
 class BatchedSimulatedAnnealer:
@@ -220,16 +246,25 @@ class BatchedSimulatedAnnealer:
         driver = LoopDriver(cfg.schedule, cfg.num_iterations, generators,
                             dynamics=dynamics, exchange_rng=exchange_rng,
                             shared_rng=shared_rng)
-        from repro.kernels import make_sa_kernel
+        # SA is the HyCiM sweep with every incumbent counted feasible: no
+        # replica ever drifts and the best-so-far rule reduces to ``<``.
+        feasible_batch, constraints = _sa_feasibility(
+            accept_filter, accept_filter_batch, feasibility_constraints)
+        from repro.kernels import make_hycim_kernel
 
-        sweep = make_sa_kernel(
-            kernel, matrix=matrix, offset=qubo.offset, driver=driver,
+        sweep = make_hycim_kernel(
+            kernel, num_variables=n, driver=driver,
             move_generator=cfg.move_generator, single_flip=single_flip,
-            moves_per_iteration=cfg.moves_per_iteration, current=current,
-            current_energy=current_energy, accept_filter=accept_filter,
-            accept_filter_batch=accept_filter_batch,
-            feasibility_constraints=feasibility_constraints,
-            generators=generators)
+            moves_per_iteration=cfg.moves_per_iteration,
+            feasible_batch=feasible_batch,
+            energies=lambda batch, replicas: batched_energies(
+                matrix, batch, qubo.offset),
+            current=current, current_energy=current_energy,
+            current_feasible=np.ones(num_replicas, dtype=bool),
+            use_delta=single_flip, matrix=matrix,
+            raw_energy=current_energy.copy() if single_flip else None,
+            constraints=constraints, use_hardware_filters=False,
+            use_crossbar=False, generators=generators)
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
         _drive_kernel(driver, sweep, cfg.num_iterations, cfg.record_history,
                       histories, "SimulatedAnnealer")
@@ -475,7 +510,8 @@ class BatchedHyCiMSolver:
             use_crossbar=use_crossbar, generators=generators)
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
         _drive_kernel(driver, sweep, solver.num_iterations,
-                      solver.record_history, histories, "HyCiM")
+                      solver.record_history, histories, "HyCiM",
+                      feasible_mask=sweep.current_feasible)
 
         best = sweep.best
         best_energy = sweep.best_energy

@@ -52,6 +52,26 @@ from repro.fefet.variability import VariabilityModel
 #: Replica-chunk byte budget of the packed conduction-count temporaries.
 _PACKED_CHUNK_BYTES = 32 * 1024 * 1024
 
+#: Budget for the float64 tables :class:`FeFETCrossbar` keeps per program:
+#: the two ``(bits, n, n)`` bit-plane stacks plus, with ON-current variation,
+#: the two ``(D, bits, n, n)`` factor tables.  Beyond it construction raises
+#: :class:`CrossbarMemoryError` instead of allocating.
+MAX_CROSSBAR_BYTES = 1024 * 1024 * 1024
+
+
+class CrossbarMemoryError(MemoryError):
+    """Programming the crossbar would exceed :data:`MAX_CROSSBAR_BYTES`."""
+
+
+def crossbar_table_bytes(num_variables: int, weight_bits: int,
+                         num_devices: int = 1,
+                         on_current_variation: bool = False) -> int:
+    """Bytes of the plane stacks (and variation factor tables) a crossbar
+    over ``num_variables`` variables allocates when programmed."""
+    plane_cells = weight_bits * num_variables * num_variables
+    tables = 2 * (1 + (num_devices if on_current_variation else 0))
+    return tables * plane_cells * np.dtype(np.float64).itemsize
+
 
 @dataclass(frozen=True)
 class CrossbarConfig:
@@ -135,6 +155,14 @@ class FeFETCrossbar:
         n = matrix.shape[0]
         self._n = n
         bits = self.config.weight_bits
+        sigma = self.config.on_current_variation_sigma
+        needed = crossbar_table_bytes(n, bits, self.num_devices, sigma > 0)
+        if needed > MAX_CROSSBAR_BYTES:
+            raise CrossbarMemoryError(
+                f"programming a crossbar over n={n} variables with {bits} "
+                f"weight bits on {self.num_devices} chip(s) needs {needed} "
+                f"bytes of plane/variation tables, above the "
+                f"MAX_CROSSBAR_BYTES budget of {MAX_CROSSBAR_BYTES}")
         max_abs = float(np.max(np.abs(matrix))) if matrix.size else 0.0
         is_integer_matrix = bool(np.all(np.abs(matrix - np.round(matrix)) < 1e-9))
         if max_abs == 0.0:
@@ -163,7 +191,6 @@ class FeFETCrossbar:
         # planes first, then negative), exactly as a freshly built scalar
         # crossbar with that seed would.  `None` marks the variation-free
         # fast path where every chip shares the exact bit planes.
-        sigma = self.config.on_current_variation_sigma
         if sigma > 0:
             pos_chips = []
             neg_chips = []

@@ -4,7 +4,7 @@ The lock-step engines in :mod:`repro.batched.engine` used to inline their
 propose -> dE -> filter -> accept -> update loop; that loop is now a
 :class:`SweepKernel` the engine drives block-wise:
 
-    kernel = make_sa_kernel(backend, ...)
+    kernel = make_hycim_kernel(backend, ...)
     while iteration < total:
         block = driver.block_length(iteration, limit)
         kernel.run_block(iteration, block)
@@ -19,6 +19,14 @@ acceptance and exchange -- kernels call back into it (or replay its draw
 streams bit-exactly, see :mod:`repro.kernels.streams`) -- and
 :meth:`~repro.dynamics.driver.LoopDriver.block_length` guarantees blocks end
 exactly where an exchange round or telemetry probe is due.
+
+There is one kernel family per backend, the HyCiM sweep of the paper's
+Fig. 6(b): propose, filter, evaluate, Metropolis.  Plain SA
+(:class:`~repro.batched.engine.BatchedSimulatedAnnealer`, and D-QUBO through
+it) is the case where every incumbent counts as feasible: no replica drifts
+and the best-so-far rule reduces to ``<``.  Its energies then step as
+``(raw + ΔE) - raw`` rather than ``ΔE``: exact on integer data, within
+floating-point rounding otherwise.
 
 Backends
 --------
@@ -124,8 +132,10 @@ class SweepKernel:
     ----------
     current, current_energy:
         The ``(M, n)`` incumbent configurations and their ``(M,)`` energies.
-    best, best_energy:
-        Best-so-far configurations/energies (same shapes).
+    current_feasible:
+        ``(M,)`` incumbent feasibility flags (all true for plain SA).
+    best, best_energy, best_feasible:
+        Best-so-far configurations/energies/feasibility (same shapes).
     num_feasible, num_skipped, num_accepted:
         Cumulative ``(M,)`` integer proposal counters (feasible candidates,
         filter-rejected candidates, accepted moves).
@@ -163,9 +173,6 @@ class SweepKernel:
         so backend memory footprints are comparable; backends whose best
         tracking lives elsewhere (the packed words) override it.
         """
-        arrays = list(self.swap_arrays())
-        for name in ("best", "best_energy", "best_feasible"):
-            value = getattr(self, name, None)
-            if value is not None and hasattr(value, "nbytes"):
-                arrays.append(value)
+        arrays = list(self.swap_arrays()) + [
+            self.best, self.best_energy, self.best_feasible]
         return sum(array.nbytes for array in arrays) / arrays[0].shape[0]

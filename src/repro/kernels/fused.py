@@ -1,7 +1,7 @@
-"""Fused sweep kernels: incremental-ΔE annealing with local-field caches.
+"""Fused sweep kernel: incremental-ΔE annealing with local-field caches.
 
-The reference kernels pay one O(M·n) candidate copy plus an O(M·n) matmul /
-gather per proposal.  The kernels here maintain, per replica:
+The reference kernel pays one O(M·n) candidate copy plus an O(M·n) matmul /
+gather per proposal.  The kernel here maintains, per replica:
 
 * a **local-field cache** ``field = x @ (Q + Q^T)`` so the single-flip
   energy delta is an O(M) gather -- ``ΔE_k = (1-2b)(diag_i + field[k,i]
@@ -34,7 +34,7 @@ raise :class:`~repro.kernels.base.KernelUnsupportedError` at construction;
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnsupportedError, SweepKernel
 from repro.kernels.streams import metropolis_decisions, try_replay_streams
 
-__all__ = ["FusedHyCiMKernel", "FusedSAKernel"]
+__all__ = ["FusedHyCiMKernel"]
 
 #: Feasibility tolerance of the scalar/batched inequality verdict paths.
 LOAD_TOLERANCE = 1e-9
@@ -66,8 +66,17 @@ def _csr_row_entries(indptr: np.ndarray, indices: np.ndarray,
     return indices[positions], data[positions], counts
 
 
-class _FusedCore(SweepKernel):
-    """Shared state machine: field cache, constraint loads, flip application."""
+class FusedHyCiMKernel(SweepKernel):
+    """Fused counterpart of :class:`~repro.kernels.reference.ReferenceHyCiMKernel`.
+
+    Covers the software-mode single-flip configuration (the ``use_delta``
+    fast path): every constraint a linear inequality evaluated exactly, no
+    crossbar, no hardware filters.  The HyCiM drift semantics are preserved:
+    replicas whose incumbent is infeasible follow every infeasible candidate
+    at energy 0 while ``raw_energy`` tracks the true QUBO value
+    incrementally.  ``constraints=None`` marks a feasibility test with no
+    linear form (an opaque SA ``accept_filter``), which is unsupported.
+    """
 
     backend = "fused"
 
@@ -138,6 +147,9 @@ class _FusedCore(SweepKernel):
             temperatures = temperatures[replica_indices]
         return metropolis_decisions(step, temperatures, draws)
 
+    def _record_best(self, improved: np.ndarray) -> None:
+        self.best[improved] = self.current[improved]
+
     def finalize(self) -> None:
         if self._streams is not None:
             self._streams.write_back()
@@ -188,118 +200,9 @@ class _FusedCore(SweepKernel):
                 self.field[replicas[lowering]] -= self._symmetric[
                     chosen[lowering]]
 
-
-class FusedSAKernel(_FusedCore):
-    """Fused counterpart of :class:`~repro.kernels.reference.ReferenceSAKernel`.
-
-    Requires single-flip moves and filters expressible as linear inequality
-    constraints (``constraints``); an opaque ``accept_filter`` /
-    ``accept_filter_batch`` without its linear form is unsupported.
-    """
-
-    def __init__(self, *, matrix, offset: float, driver: LoopDriver,
-                 single_flip: bool, moves_per_iteration: int,
-                 current: np.ndarray, current_energy: np.ndarray,
-                 accept_filter=None, accept_filter_batch=None,
-                 constraints: Optional[Sequence[LinearConstraint]] = None,
-                 generators: Optional[Sequence[np.random.Generator]] = None
-                 ) -> None:
-        if not single_flip:
-            raise KernelUnsupportedError(
-                "fused kernels require single-flip moves; generic move "
-                "generators run on the reference backend")
-        if accept_filter is not None and accept_filter_batch is None:
-            # With a batch filter present the row filter is never consulted
-            # (the reference kernel's precedence), so it need not be linear.
-            raise KernelUnsupportedError(
-                "fused kernels cannot evaluate an opaque per-row "
-                "accept_filter incrementally")
-        if accept_filter_batch is not None and constraints is None:
-            raise KernelUnsupportedError(
-                "accept_filter_batch has no linear-inequality form "
-                "(feasibility_constraints not provided); fused kernels need "
-                "one to maintain incremental constraint loads")
-        effective = (tuple(constraints)
-                     if accept_filter_batch is not None else ())
-        for constraint in effective:
-            if not isinstance(constraint,
-                              (InequalityConstraint, EqualityConstraint)):
-                raise KernelUnsupportedError(
-                    f"constraint {type(constraint).__name__} is not a linear "
-                    "inequality or equality; fused kernels cannot track it "
-                    "incrementally")
-        self.driver = driver
-        self.moves_per_iteration = int(moves_per_iteration)
-        self.current = current
-        self.current_energy = current_energy
-        self.best = current.copy()
-        self.best_energy = current_energy.copy()
-        num_replicas = current.shape[0]
-        self.num_feasible = np.zeros(num_replicas, dtype=int)
-        self.num_skipped = np.zeros(num_replicas, dtype=int)
-        self.num_accepted = np.zeros(num_replicas, dtype=int)
-        self._init_model(matrix, current, effective)
-        self._streams = try_replay_streams(driver, generators,
-                                           self._num_variables)
-
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        driver = self.driver
-        for iteration in range(start_iteration,
-                               start_iteration + num_iterations):
-            for _ in range(self.moves_per_iteration):
-                flips, bits, signs, delta = self._propose(driver)
-                if self._num_constraints:
-                    candidate_loads, passed = self._candidate_loads(flips,
-                                                                    signs)
-                    self.num_skipped += ~passed
-                    self.num_feasible += passed
-                    feasible_idx = np.flatnonzero(passed)
-                    if feasible_idx.size == 0:
-                        continue
-                    step = delta[feasible_idx]
-                else:
-                    candidate_loads = None
-                    feasible_idx = self._rows
-                    self.num_feasible += 1
-                    step = delta
-
-                accepted = self._accept(driver, step, feasible_idx, iteration)
-                accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    # current_energy[f] + delta then assign, as the reference
-                    # does, equals this in-place add entry for entry.
-                    self.current_energy[accepted_idx] += step[accepted]
-                    self._apply_flips(accepted_idx, flips, bits, signs,
-                                      candidate_loads)
-                    self.num_accepted[accepted_idx] += 1
-                    energies = self.current_energy[accepted_idx]
-                    better = energies < self.best_energy[accepted_idx]
-                    if better.any():
-                        improved = accepted_idx[better]
-                        self.best_energy[improved] = energies[better]
-                        self.best[improved] = self.current[improved]
-
-    def swap_arrays(self) -> tuple:
-        arrays = [self.current, self.current_energy, self.field]
-        if self._num_constraints:
-            arrays.append(self.loads)
-        return tuple(arrays)
-
-
-class FusedHyCiMKernel(_FusedCore):
-    """Fused counterpart of :class:`~repro.kernels.reference.ReferenceHyCiMKernel`.
-
-    Covers the software-mode single-flip configuration (the ``use_delta``
-    fast path): every constraint a linear inequality evaluated exactly, no
-    crossbar, no hardware filters.  The HyCiM drift semantics are preserved:
-    replicas whose incumbent is infeasible follow every infeasible candidate
-    at energy 0 while ``raw_energy`` tracks the true QUBO value
-    incrementally.
-    """
-
     def __init__(self, *, matrix, driver: LoopDriver, single_flip: bool,
                  moves_per_iteration: int,
-                 constraints: Sequence[LinearConstraint],
+                 constraints: Optional[Sequence[LinearConstraint]],
                  current: np.ndarray, current_energy: np.ndarray,
                  current_feasible: np.ndarray, raw_energy: Optional[np.ndarray],
                  use_hardware_filters: bool = False,
@@ -317,6 +220,10 @@ class FusedHyCiMKernel(_FusedCore):
             raise KernelUnsupportedError(
                 "hardware inequality filters (quantised weights / matchline "
                 "noise) run on the reference backend")
+        if constraints is None:
+            raise KernelUnsupportedError(
+                "an opaque accept_filter has no linear-inequality form; fused "
+                "kernels need one to maintain incremental constraint loads")
         constraints = tuple(constraints)
         for constraint in constraints:
             if not isinstance(constraint,
@@ -391,7 +298,7 @@ class FusedHyCiMKernel(_FusedCore):
                          < self.best_energy[accepted_idx])
                         | ~self.best_feasible[accepted_idx]]
                     self.best_energy[improved] = self.current_energy[improved]
-                    self.best[improved] = self.current[improved]
+                    self._record_best(improved)
                     self.best_feasible[improved] = True
 
     def swap_arrays(self) -> tuple:

@@ -1,8 +1,8 @@
-"""Packed sweep kernels: uint64 word states with popcount ΔE gathers.
+"""Packed sweep kernel: uint64 word states with popcount ΔE gathers.
 
-The fused kernels keep three float64 ``(M, n)`` arrays hot per batch
-(configurations, best-so-far, local fields) and pay an O(n) float row
-update per accepted flip.  The kernels here collapse the travelling state
+The fused kernel keeps three float64 ``(M, n)`` arrays hot per batch
+(configurations, best-so-far, local fields) and pays an O(n) float row
+update per accepted flip.  The kernel here collapses the travelling state
 to ``(M, ceil(n/64))`` uint64 **words** (:mod:`repro.kernels.bits`):
 
 * the single-flip local field is recomputed per proposal from precomputed
@@ -11,7 +11,7 @@ to ``(M, ceil(n/64))`` uint64 **words** (:mod:`repro.kernels.bits`):
   is accepted, and an accepted flip is a one-word XOR instead of a float
   row update;
 * running inequality/equality constraint loads are maintained exactly as
-  the fused kernels maintain them (the float increments are exact on the
+  the fused kernel maintains them (the float increments are exact on the
   integer conformance data);
 * best-so-far configurations are tracked as packed words and only
   unpacked once, in :meth:`~repro.kernels.base.SweepKernel.finalize`.
@@ -43,23 +43,31 @@ from repro.kernels.bits import (
     popcount_rows,
     unpack_bits,
 )
-from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
+from repro.kernels.fused import FusedHyCiMKernel
 
-__all__ = ["PackedHyCiMKernel", "PackedSAKernel"]
+__all__ = ["PackedHyCiMKernel"]
 
 _ONE = np.uint64(1)
 _LOW6 = np.uint64(63)
 
 
-class _PackedModel:
-    """Packed replacement for the fused local-field model state.
+class PackedHyCiMKernel(FusedHyCiMKernel):
+    """Packed counterpart of :class:`~repro.kernels.fused.FusedHyCiMKernel`.
 
     Overrides the fused ``_init_model`` / ``_propose`` / ``_apply_flips``
-    trio; the constraint-load machinery, acceptance replay and
-    constructor guards are inherited unchanged from the fused layer.
+    trio and the best-so-far bookkeeping; the sweep loop (HyCiM drift
+    semantics included), the constraint-load machinery, acceptance replay
+    and constructor guards are inherited unchanged from the fused kernel.
+    ``current`` is adopted; it is rewritten from the words in
+    :meth:`finalize`, not during the sweep.
     """
 
     backend = "packed"
+
+    #: The fused sweep, as this class's own entry so that instrumentation
+    #: wrapping ``run_block`` per class (perfbench/layertrace.py) can time
+    #: the packed backend separately.
+    run_block = FusedHyCiMKernel.run_block
 
     def _init_model(self, matrix, current: np.ndarray,
                     constraints: Sequence[LinearConstraint]) -> None:
@@ -81,6 +89,9 @@ class _PackedModel:
         #: (M,) incumbent popcounts (the ``|x|`` term of the field sum).
         self._ones = popcount_rows(self.words)
         self._init_constraints(current, constraints)
+        #: Best-so-far configurations stay packed until finalize().
+        self._best_words = self.words.copy()
+        self.best = None
 
     def _propose(self, driver: LoopDriver):
         """One flip per replica, ΔE via plane-mask popcounts (exact int)."""
@@ -121,164 +132,9 @@ class _PackedModel:
         self.best = unpack_bits(self._best_words, self._num_variables)
 
     def state_nbytes_per_replica(self) -> float:
-        arrays = list(self.swap_arrays()) + [self._best_words,
-                                             self.best_energy]
-        best_feasible = getattr(self, "best_feasible", None)
-        if best_feasible is not None:
-            arrays.append(best_feasible)
+        arrays = list(self.swap_arrays()) + [
+            self._best_words, self.best_energy, self.best_feasible]
         return sum(array.nbytes for array in arrays) / self.words.shape[0]
-
-
-class PackedSAKernel(_PackedModel, FusedSAKernel):
-    """Packed counterpart of :class:`~repro.kernels.fused.FusedSAKernel`.
-
-    Same support matrix as the fused SA kernel plus the packed
-    preconditions: integer-valued coefficients and a plane table within
-    budget.  ``current`` is adopted; it is rewritten from the words in
-    :meth:`finalize`, not during the sweep.
-    """
-
-    def __init__(self, *, matrix, offset: float, driver: LoopDriver,
-                 single_flip: bool, moves_per_iteration: int,
-                 current: np.ndarray, current_energy: np.ndarray,
-                 accept_filter=None, accept_filter_batch=None,
-                 constraints: Optional[Sequence[LinearConstraint]] = None,
-                 generators: Optional[Sequence[np.random.Generator]] = None
-                 ) -> None:
-        super().__init__(matrix=matrix, offset=offset, driver=driver,
-                         single_flip=single_flip,
-                         moves_per_iteration=moves_per_iteration,
-                         current=current, current_energy=current_energy,
-                         accept_filter=accept_filter,
-                         accept_filter_batch=accept_filter_batch,
-                         constraints=constraints, generators=generators)
-        #: Best-so-far configurations stay packed until finalize().
-        self._best_words = self.words.copy()
-        self.best = None
-
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        driver = self.driver
-        for iteration in range(start_iteration,
-                               start_iteration + num_iterations):
-            for _ in range(self.moves_per_iteration):
-                flips, bits, signs, delta = self._propose(driver)
-                if self._num_constraints:
-                    candidate_loads, passed = self._candidate_loads(flips,
-                                                                    signs)
-                    self.num_skipped += ~passed
-                    self.num_feasible += passed
-                    feasible_idx = np.flatnonzero(passed)
-                    if feasible_idx.size == 0:
-                        continue
-                    step = delta[feasible_idx]
-                else:
-                    candidate_loads = None
-                    feasible_idx = self._rows
-                    self.num_feasible += 1
-                    step = delta
-
-                accepted = self._accept(driver, step, feasible_idx, iteration)
-                accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    self.current_energy[accepted_idx] += step[accepted]
-                    self._apply_flips(accepted_idx, flips, bits, signs,
-                                      candidate_loads)
-                    self.num_accepted[accepted_idx] += 1
-                    energies = self.current_energy[accepted_idx]
-                    better = energies < self.best_energy[accepted_idx]
-                    if better.any():
-                        improved = accepted_idx[better]
-                        self.best_energy[improved] = energies[better]
-                        self._record_best(improved)
-
-    def swap_arrays(self) -> tuple:
-        arrays = [self.words, self.current_energy, self._ones]
-        if self._num_constraints:
-            arrays.append(self.loads)
-        return tuple(arrays)
-
-
-class PackedHyCiMKernel(_PackedModel, FusedHyCiMKernel):
-    """Packed counterpart of :class:`~repro.kernels.fused.FusedHyCiMKernel`.
-
-    The HyCiM drift semantics (infeasible incumbents follow infeasible
-    candidates at energy 0 while ``raw_energy`` tracks the true QUBO
-    value) are preserved word for word from the fused loop.
-    """
-
-    def __init__(self, *, matrix, driver: LoopDriver, single_flip: bool,
-                 moves_per_iteration: int,
-                 constraints: Sequence[LinearConstraint],
-                 current: np.ndarray, current_energy: np.ndarray,
-                 current_feasible: np.ndarray,
-                 raw_energy: Optional[np.ndarray],
-                 use_hardware_filters: bool = False,
-                 use_crossbar: bool = False,
-                 generators: Optional[Sequence[np.random.Generator]] = None
-                 ) -> None:
-        super().__init__(matrix=matrix, driver=driver,
-                         single_flip=single_flip,
-                         moves_per_iteration=moves_per_iteration,
-                         constraints=constraints, current=current,
-                         current_energy=current_energy,
-                         current_feasible=current_feasible,
-                         raw_energy=raw_energy,
-                         use_hardware_filters=use_hardware_filters,
-                         use_crossbar=use_crossbar, generators=generators)
-        self._best_words = self.words.copy()
-        self.best = None
-
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        driver = self.driver
-        for iteration in range(start_iteration,
-                               start_iteration + num_iterations):
-            for _ in range(self.moves_per_iteration):
-                flips, bits, signs, delta = self._propose(driver)
-                candidate_raw = self.raw_energy + delta
-
-                if self._num_constraints:
-                    candidate_loads, candidate_feasible = \
-                        self._candidate_loads(flips, signs)
-                else:
-                    candidate_loads = None
-                    candidate_feasible = np.ones(self._rows.shape[0],
-                                                 dtype=bool)
-                infeasible_idx = np.flatnonzero(~candidate_feasible)
-                self.num_skipped[infeasible_idx] += 1
-                # Infeasible incumbents drift freely at energy 0 (paper
-                # Eq. (6)), exactly as the reference kernel.
-                drifting = infeasible_idx[
-                    ~self.current_feasible[infeasible_idx]]
-                if drifting.size:
-                    self.current_energy[drifting] = 0.0
-                    self.raw_energy[drifting] = candidate_raw[drifting]
-                    self._apply_flips(drifting, flips, bits, signs,
-                                      candidate_loads)
-
-                feasible_idx = np.flatnonzero(candidate_feasible)
-                if feasible_idx.size == 0:
-                    continue
-                self.num_feasible[feasible_idx] += 1
-
-                candidate_energy = candidate_raw[feasible_idx]
-                step = candidate_energy - self.current_energy[feasible_idx]
-                accepted = self._accept(driver, step, feasible_idx, iteration)
-                accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    self.current_energy[accepted_idx] = \
-                        candidate_raw[accepted_idx]
-                    self.raw_energy[accepted_idx] = candidate_raw[accepted_idx]
-                    self.current_feasible[accepted_idx] = True
-                    self._apply_flips(accepted_idx, flips, bits, signs,
-                                      candidate_loads)
-                    self.num_accepted[accepted_idx] += 1
-                    improved = accepted_idx[
-                        (self.current_energy[accepted_idx]
-                         < self.best_energy[accepted_idx])
-                        | ~self.best_feasible[accepted_idx]]
-                    self.best_energy[improved] = self.current_energy[improved]
-                    self._record_best(improved)
-                    self.best_feasible[improved] = True
 
     def swap_arrays(self) -> tuple:
         arrays = [self.words, self.current_energy, self.current_feasible,

@@ -1,11 +1,12 @@
-"""Reference sweep kernels: the engines' original NumPy inner loops.
+"""Reference sweep kernel: the engines' original NumPy inner loop.
 
-The loop bodies in this module are the exact code
-:class:`~repro.batched.engine.BatchedSimulatedAnnealer` and
+The loop body in this module is the exact code
 :class:`~repro.batched.engine.BatchedHyCiMSolver` inlined before the kernel
 layer existed -- moved, not rewritten -- so per-seed trajectories are
 byte-identical to every release since PR 2 (pinned by
 ``tests/batched/test_golden_trajectories.py`` and the scalar-parity suite).
+:class:`~repro.batched.engine.BatchedSimulatedAnnealer` runs the same sweep
+with every incumbent counted feasible (see :mod:`repro.kernels.base`).
 One full-batch operation per proposal: an O(M*n) candidate copy, an O(M*n)
 delta gather (or batched crossbar MVM), one batched filter pass.
 
@@ -19,136 +20,16 @@ integer-exact energies, at O(M * nnz-per-row) per proposal.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.batched.kernels import (
-    batched_energies,
-    batched_energy_delta,
-    symmetrized_matrix,
-)
+from repro.batched.kernels import batched_energy_delta, symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import MoveGenerator
 from repro.kernels.base import SweepKernel
 
-__all__ = ["ReferenceHyCiMKernel", "ReferenceSAKernel"]
-
-#: Per-row feasibility predicate (scalar fallback).
-RowFilter = Callable[[np.ndarray], bool]
-#: Vectorised feasibility predicate over an ``(M, n)`` batch.
-BatchFilter = Callable[[np.ndarray], np.ndarray]
-
-
-def _apply_filters(candidates: np.ndarray,
-                   accept_filter: Optional[RowFilter],
-                   accept_filter_batch: Optional[BatchFilter]) -> np.ndarray:
-    """Feasibility verdicts for a candidate batch (vectorised when possible)."""
-    if accept_filter_batch is not None:
-        return np.asarray(accept_filter_batch(candidates), dtype=bool)
-    if accept_filter is not None:
-        return np.array([bool(accept_filter(row)) for row in candidates],
-                        dtype=bool)
-    return np.ones(candidates.shape[0], dtype=bool)
-
-
-class ReferenceSAKernel(SweepKernel):
-    """The batched SA sweep, exactly as the engine inlined it.
-
-    Parameters mirror what the engine's loop closed over: the QUBO data,
-    the driver (temperatures + draws + acceptance), the move generator and
-    the filter hooks.  ``current`` is adopted (not copied) -- the engine
-    hands over ownership of the travelling state.
-    """
-
-    backend = "reference"
-
-    def __init__(self, *, matrix: np.ndarray, offset: float,
-                 driver: LoopDriver, move_generator: MoveGenerator,
-                 single_flip: bool, moves_per_iteration: int,
-                 current: np.ndarray, current_energy: np.ndarray,
-                 accept_filter: Optional[RowFilter] = None,
-                 accept_filter_batch: Optional[BatchFilter] = None) -> None:
-        self.matrix = matrix
-        self.offset = float(offset)
-        self.driver = driver
-        self.move_generator = move_generator
-        self.single_flip = bool(single_flip)
-        self.moves_per_iteration = int(moves_per_iteration)
-        self.accept_filter = accept_filter
-        self.accept_filter_batch = accept_filter_batch
-
-        self.current = current
-        self.current_energy = current_energy
-        self.best = current.copy()
-        self.best_energy = current_energy.copy()
-        num_replicas = current.shape[0]
-        self.num_feasible = np.zeros(num_replicas, dtype=int)
-        self.num_skipped = np.zeros(num_replicas, dtype=int)
-        self.num_accepted = np.zeros(num_replicas, dtype=int)
-        self._rows = np.arange(num_replicas)
-        self._num_variables = self.matrix.shape[0]
-        self._symmetric = (symmetrized_matrix(self.matrix) if self.single_flip
-                           else None)
-        # Reused single-flip candidate buffer: refreshing it with np.copyto
-        # is value-identical to a fresh current.copy() per proposal but
-        # spares the O(M*n) allocation in the hot loop.
-        self._candidates = (np.empty_like(current) if self.single_flip
-                            else None)
-
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        driver = self.driver
-        current = self.current
-        current_energy = self.current_energy
-        rows = self._rows
-        n = self._num_variables
-        for iteration in range(start_iteration,
-                               start_iteration + num_iterations):
-            for _ in range(self.moves_per_iteration):
-                if self.single_flip:
-                    # Same stream consumption as SingleFlipMove.propose: one
-                    # integer draw per replica (one vectorised draw from the
-                    # shared stream in chip-faithful mode).
-                    flips = driver.flip_indices(n)
-                    candidates = self._candidates
-                    np.copyto(candidates, current)
-                    candidates[rows, flips] = 1.0 - candidates[rows, flips]
-                else:
-                    flips = None
-                    candidates = driver.propose(self.move_generator, current)
-
-                passed = _apply_filters(candidates, self.accept_filter,
-                                        self.accept_filter_batch)
-                self.num_skipped[~passed] += 1
-                feasible_idx = np.flatnonzero(passed)
-                if feasible_idx.size == 0:
-                    continue
-                self.num_feasible[feasible_idx] += 1
-
-                if self.single_flip:
-                    delta = batched_energy_delta(
-                        self.matrix, current[feasible_idx],
-                        flips[feasible_idx], symmetric=self._symmetric)
-                    candidate_energy = current_energy[feasible_idx] + delta
-                else:
-                    candidate_energy = batched_energies(
-                        self.matrix, candidates[feasible_idx], self.offset)
-                    delta = candidate_energy - current_energy[feasible_idx]
-
-                accepted = driver.metropolis(delta, feasible_idx, iteration)
-                accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    current[accepted_idx] = candidates[accepted_idx]
-                    current_energy[accepted_idx] = candidate_energy[accepted]
-                    self.num_accepted[accepted_idx] += 1
-                    improved = accepted_idx[
-                        current_energy[accepted_idx]
-                        < self.best_energy[accepted_idx]]
-                    self.best_energy[improved] = current_energy[improved]
-                    self.best[improved] = current[improved]
-
-    def swap_arrays(self) -> tuple:
-        return (self.current, self.current_energy)
+__all__ = ["ReferenceHyCiMKernel"]
 
 
 class ReferenceHyCiMKernel(SweepKernel):
@@ -198,7 +79,9 @@ class ReferenceHyCiMKernel(SweepKernel):
         self._num_variables = int(num_variables)
         self._symmetric = (symmetrized_matrix(matrix)
                            if self.use_delta else None)
-        # Reused single-flip candidate buffer (see ReferenceSAKernel).
+        # Reused single-flip candidate buffer: refreshing it with np.copyto
+        # is value-identical to a fresh current.copy() per proposal but
+        # spares the O(M*n) allocation in the hot loop.
         self._candidates = (np.empty_like(current) if self.single_flip
                             else None)
 

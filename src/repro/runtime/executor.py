@@ -720,13 +720,45 @@ def replay_trial(problem: CombinatorialProblem, batch: TrialBatch,
     single failing run out of a thousand -- individually debuggable.  Batches
     run with explicit ``initial_states`` must re-supply the trial's initial
     state via ``initial``; otherwise the trial re-draws it from its seed.
+
+    A trial whose outcome depends on the replica group it ran in cannot be
+    replayed alone, so this raises ``ValueError`` naming the reason: coupled
+    dynamics, or a hardware group of several replicas sharing one crossbar
+    with read noise (the group consumed that chip's noise stream jointly).
     """
     if not 0 <= trial_index < len(batch.results):
         raise IndexError(f"trial index {trial_index} out of range")
     original = batch.results[trial_index]
     if original.trial_seed is None:
         raise ValueError("batch results carry no trial seeds")
+    reason = _group_dependence(batch.spec, original)
+    if reason is not None:
+        raise ValueError(
+            f"trial {trial_index} cannot be replayed on its own: {reason}; "
+            "re-run the batch with run_trials to reproduce it")
     return run_single_trial(problem, batch.spec, original.trial_seed, initial)
+
+
+def _group_dependence(spec: SolverSpec, result: SolveResult) -> Optional[str]:
+    """Why a trial's outcome depends on its replica group (``None``: it
+    does not)."""
+    dynamics = build_dynamics(spec.params.get("dynamics"))
+    if dynamics is not None and dynamics.coupled:
+        return ("it ran under coupled dynamics (temperature ladder / custom "
+                "acceptance rule / replica exchange / shared RNG), which "
+                "tie every replica of its group together")
+    metadata = result.metadata
+    config = spec.params.get("crossbar_config")
+    shared_noisy_chip = (
+        metadata.get("vectorized") and metadata.get("use_hardware")
+        and metadata.get("num_replicas", 1) > 1
+        and "num_chips" not in metadata
+        and config is not None and config.current_noise_sigma > 0)
+    if shared_noisy_chip:
+        return (f"its {metadata['num_replicas']} replicas shared one "
+                "crossbar with read noise, whose noise stream they drew "
+                "from jointly")
+    return None
 
 
 def concatenate_batches(first: TrialBatch, second: TrialBatch) -> TrialBatch:

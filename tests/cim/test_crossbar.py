@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
+from repro.cim import crossbar as crossbar_module
+from repro.cim.crossbar import (
+    MAX_CROSSBAR_BYTES,
+    CrossbarConfig,
+    CrossbarMemoryError,
+    FeFETCrossbar,
+    crossbar_table_bytes,
+)
 from repro.core.qubo import QUBOModel
 
 
@@ -23,6 +30,36 @@ class TestConfig:
             CrossbarConfig(current_noise_sigma=-0.1)
         with pytest.raises(ValueError):
             CrossbarConfig(adc_bits=0)
+
+
+class TestMemoryBudget:
+    def test_estimate_counts_planes_and_per_chip_factor_tables(self):
+        # Two float64 (bits, n, n) plane stacks ...
+        assert crossbar_table_bytes(10, 7) == 2 * 7 * 100 * 8
+        # ... plus two (D, bits, n, n) factor tables under variation.
+        assert crossbar_table_bytes(10, 7, 4, True) == 2 * 5 * 7 * 100 * 8
+        assert crossbar_table_bytes(10, 7, 4, False) == 2 * 7 * 100 * 8
+
+    def test_known_oversized_configurations_exceed_the_budget(self):
+        # n=4096 with the default 7 bits (~1.9 GB); n=1000, 8 bits and 16
+        # chips with ON-current variation (~2.2 GB).
+        assert crossbar_table_bytes(4096, 7) > MAX_CROSSBAR_BYTES
+        assert crossbar_table_bytes(1000, 8, 16, True) > MAX_CROSSBAR_BYTES
+        assert crossbar_table_bytes(1000, 7) < MAX_CROSSBAR_BYTES
+
+    def test_over_budget_program_raises_before_allocating(self, integer_qubo,
+                                                          monkeypatch):
+        config = CrossbarConfig(weight_bits=7, on_current_variation_sigma=0.1)
+        needed = crossbar_table_bytes(10, 7, 3, True)
+        monkeypatch.setattr(crossbar_module, "MAX_CROSSBAR_BYTES", needed - 1)
+        with pytest.raises(CrossbarMemoryError, match=f"needs {needed} bytes"):
+            FeFETCrossbar.from_qubo(integer_qubo, config,
+                                    device_seeds=[1, 2, 3])
+        # Exactly at the budget the crossbar programs normally.
+        monkeypatch.setattr(crossbar_module, "MAX_CROSSBAR_BYTES", needed)
+        crossbar = FeFETCrossbar.from_qubo(integer_qubo, config,
+                                           device_seeds=[1, 2, 3])
+        assert crossbar.num_devices == 3
 
 
 class TestIdealCrossbar:

@@ -13,11 +13,13 @@ import pytest
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
+from repro.batched.kernels import batched_energies
 from repro.dynamics import (
     Dynamics,
     ParallelTempering,
     exchange_stream,
 )
+from repro.dynamics.moves import SingleFlipMove
 from repro.problems.maxcut import MaxCutProblem
 from repro.problems.qkp import QuadraticKnapsackProblem
 
@@ -48,6 +50,26 @@ def make_maxcut(seed, n=16):
 
 def make_generators(seed, count=NUM_REPLICAS):
     return [np.random.default_rng([seed, k]) for k in range(count)]
+
+
+def sa_kernel_args(matrix, current, driver, generators, constraints=(),
+                   single_flip=True):
+    """``make_hycim_kernel`` arguments for a software-mode SA sweep: every
+    incumbent feasible, no filter (``constraints=None`` stands for an
+    opaque one)."""
+    energy = batched_energies(matrix, current)
+    return dict(
+        num_variables=current.shape[1], driver=driver,
+        move_generator=SingleFlipMove(), single_flip=single_flip,
+        moves_per_iteration=1,
+        feasible_batch=lambda batch: np.ones(batch.shape[0], dtype=bool),
+        energies=lambda batch, replicas: batched_energies(matrix, batch),
+        current=current, current_energy=energy,
+        current_feasible=np.ones(current.shape[0], dtype=bool),
+        use_delta=single_flip, matrix=matrix,
+        raw_energy=energy.copy() if single_flip else None,
+        constraints=constraints, use_hardware_filters=False,
+        use_crossbar=False, generators=generators)
 
 
 def assert_exact_parity(reference, other, generator_pairs=None):

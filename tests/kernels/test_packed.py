@@ -24,9 +24,9 @@ from repro.core.sparse import symmetrized_matrix
 from repro.dynamics import Dynamics
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.schedule import GeometricSchedule
-from repro.kernels import make_sa_kernel
+from repro.kernels import make_hycim_kernel
 from repro.kernels.bits import pack_bits, popcount_rows, unpack_bits
-from repro.kernels.packed import PackedSAKernel
+from repro.kernels.packed import PackedHyCiMKernel
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 from repro.store import CampaignStore
@@ -36,6 +36,7 @@ from test_backend_parity import (
     assert_exact_parity,
     make_generators,
     make_qkp,
+    sa_kernel_args,
 )
 
 
@@ -64,14 +65,11 @@ def _make_packed(matrix, starts, constraints, num_iterations, seed):
                   for k in range(starts.shape[0])]
     driver = LoopDriver(GeometricSchedule(5.0, 0.1), num_iterations,
                         generators)
-    current = starts.copy()
-    kernel = make_sa_kernel(
-        "packed", matrix=matrix, offset=0.0, driver=driver,
-        move_generator=None, single_flip=True, moves_per_iteration=1,
-        current=current, current_energy=batched_energies(matrix, current),
-        accept_filter_batch=(_unconsulted_filter if constraints else None),
-        feasibility_constraints=constraints, generators=generators)
-    assert isinstance(kernel, PackedSAKernel)
+    args = sa_kernel_args(matrix, starts.copy(), driver, generators,
+                          constraints or ())
+    args["feasible_batch"] = _unconsulted_filter
+    kernel = make_hycim_kernel("packed", **args)
+    assert isinstance(kernel, PackedHyCiMKernel)
     return kernel
 
 
@@ -225,20 +223,14 @@ class TestCrossbarBitPlanes:
 
 class TestStateFootprint:
     def test_packed_state_is_far_smaller_per_replica(self, qkp, qkp_initials):
-        args = dict(
-            matrix=qkp.to_qubo().matrix, offset=0.0,
-            move_generator=None, single_flip=True, moves_per_iteration=1,
-            accept_filter_batch=qkp.is_feasible_batch,
-            feasibility_constraints=qkp.linear_feasibility_constraints())
+        matrix = qkp.to_qubo().matrix
+        constraints = qkp.linear_feasibility_constraints()
         kernels = {}
         for backend in ("fused", "packed"):
             generators = make_generators(17)
-            current = qkp_initials.copy()
             driver = LoopDriver(GeometricSchedule(5.0, 0.1), 10, generators)
-            kernels[backend] = make_sa_kernel(
-                backend, driver=driver, current=current,
-                current_energy=batched_energies(args["matrix"], current),
-                generators=generators, **args)
+            kernels[backend] = make_hycim_kernel(backend, **sa_kernel_args(
+                matrix, qkp_initials.copy(), driver, generators, constraints))
         packed = kernels["packed"].state_nbytes_per_replica()
         fused = kernels["fused"].state_nbytes_per_replica()
         assert packed < fused / 4

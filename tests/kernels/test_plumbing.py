@@ -12,20 +12,22 @@ documents.
 import numpy as np
 import pytest
 
-from repro.batched.kernels import batched_energies
+from repro.annealing.sa import SimulatedAnnealer
+from repro.batched import BatchedSimulatedAnnealer
 from repro.dynamics.driver import LoopDriver
-from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
 from repro.kernels import (
     KernelUnsupportedError,
     canonical_kernel_param,
-    make_sa_kernel,
+    make_hycim_kernel,
     resolve_kernel_backend,
 )
-from repro.kernels.reference import ReferenceSAKernel
+from repro.kernels.reference import ReferenceHyCiMKernel
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 from repro.store import CampaignStore
+
+from test_backend_parity import sa_kernel_args
 
 
 @pytest.fixture(scope="module")
@@ -115,48 +117,44 @@ class TestRunKeyStability:
 
 def _kernel_args(problem, *, single_flip=True, generic_filter=False):
     matrix = problem.to_qubo().matrix
-    current = np.zeros((3, problem.num_variables))
     generators = [np.random.default_rng([9, k]) for k in range(3)]
     driver = LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators)
-    return dict(
-        matrix=matrix, offset=0.0, driver=driver,
-        move_generator=SingleFlipMove(), single_flip=single_flip,
-        moves_per_iteration=1, current=current,
-        current_energy=batched_energies(matrix, current),
-        accept_filter=(lambda row: True) if generic_filter else None,
-        generators=generators)
+    return sa_kernel_args(matrix, np.zeros((3, problem.num_variables)),
+                          driver, generators,
+                          constraints=None if generic_filter else (),
+                          single_flip=single_flip)
 
 
 class TestConstructionFallbacks:
     def test_auto_falls_back_to_reference_on_unsupported(self, problem):
         # An opaque per-row filter is not expressible incrementally: "auto"
         # lands on the reference kernel instead of raising.
-        kernel = make_sa_kernel("auto",
-                                **_kernel_args(problem, generic_filter=True))
-        assert isinstance(kernel, ReferenceSAKernel)
+        kernel = make_hycim_kernel("auto",
+                                   **_kernel_args(problem, generic_filter=True))
+        assert isinstance(kernel, ReferenceHyCiMKernel)
         assert kernel.backend == "reference"
 
     def test_explicit_fused_raises_on_unsupported(self, problem):
         with pytest.raises(KernelUnsupportedError, match="accept_filter"):
-            make_sa_kernel("fused",
-                           **_kernel_args(problem, generic_filter=True))
+            make_hycim_kernel("fused",
+                              **_kernel_args(problem, generic_filter=True))
 
     def test_explicit_fused_raises_on_generic_moves(self, problem):
         with pytest.raises(KernelUnsupportedError, match="single-flip"):
-            make_sa_kernel("fused",
-                           **_kernel_args(problem, single_flip=False))
+            make_hycim_kernel("fused",
+                              **_kernel_args(problem, single_flip=False))
 
     def test_numba_is_an_unknown_backend(self, problem):
         with pytest.raises(ValueError,
                            match="unknown kernel backend 'numba'") as error:
-            make_sa_kernel("numba", **_kernel_args(problem))
+            make_hycim_kernel("numba", **_kernel_args(problem))
         for name in ("reference", "fused", "packed", "auto"):
             assert repr(name) in str(error.value)
 
     def test_auto_never_fails_for_support_reasons(self, problem):
         # The QKP matrix is integer-valued, so auto lands on the fastest
         # backend, packed, on every host.
-        kernel = make_sa_kernel("auto", **_kernel_args(problem))
+        kernel = make_hycim_kernel("auto", **_kernel_args(problem))
         assert kernel.backend == "packed"
 
     def test_auto_falls_back_to_fused_on_float_matrices(self, problem):
@@ -164,14 +162,45 @@ class TestConstructionFallbacks:
         # packed refuses them, so auto lands on fused.
         args = _kernel_args(problem)
         args["matrix"] = args["matrix"] + 0.25
-        kernel = make_sa_kernel("auto", **args)
+        kernel = make_hycim_kernel("auto", **args)
         assert kernel.backend == "fused"
 
     def test_explicit_packed_raises_on_float_matrices(self, problem):
         args = _kernel_args(problem)
         args["matrix"] = args["matrix"] + 0.25
         with pytest.raises(KernelUnsupportedError, match="integer-valued"):
-            make_sa_kernel("packed", **args)
+            make_hycim_kernel("packed", **args)
+
+
+class TestSAFilterRouting:
+    """The SA engine hands its filter hooks to the HyCiM kernel factory:
+    only a filter with a linear form reaches the fused/packed backends."""
+
+    @staticmethod
+    def _anneal(problem, **filters):
+        qubo = problem.to_qubo()
+        generators = [np.random.default_rng([5, k]) for k in range(3)]
+        annealer = SimulatedAnnealer(num_iterations=20)
+        results = BatchedSimulatedAnnealer(annealer).anneal(
+            qubo, np.zeros((3, problem.num_variables)), generators,
+            kernel="auto", **filters)
+        return [r.metadata.get("kernel", "reference") for r in results]
+
+    def test_no_filter_runs_packed(self, problem):
+        assert self._anneal(problem) == ["packed"] * 3
+
+    def test_linear_batch_filter_runs_packed(self, problem):
+        assert self._anneal(
+            problem, accept_filter_batch=problem.is_feasible_batch,
+            feasibility_constraints=problem.linear_feasibility_constraints(),
+        ) == ["packed"] * 3
+
+    def test_opaque_filters_fall_back_to_reference(self, problem):
+        assert self._anneal(problem, accept_filter=problem.is_feasible) == \
+            ["reference"] * 3
+        assert self._anneal(
+            problem, accept_filter_batch=problem.is_feasible_batch) == \
+            ["reference"] * 3
 
 
 class TestAutoResolution:

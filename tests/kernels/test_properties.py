@@ -22,7 +22,9 @@ from repro.core.constraints import InequalityConstraint
 from repro.core.sparse import symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.schedule import GeometricSchedule
-from repro.kernels.fused import FusedSAKernel
+from repro.kernels import make_hycim_kernel
+
+from test_backend_parity import sa_kernel_args
 
 scipy_sparse = pytest.importorskip("scipy.sparse")
 
@@ -74,20 +76,17 @@ def _unconsulted_filter(batch):  # pragma: no cover - must never run
 
 def _make_kernel(matrix, starts, constraints, num_iterations, seed,
                  sparse=False):
-    """A FusedSAKernel wired to a fresh driver, plus its travelling arrays."""
+    """A fused kernel configured as SA, wired to a fresh driver."""
     generators = [np.random.default_rng([seed, k])
                   for k in range(starts.shape[0])]
     driver = LoopDriver(GeometricSchedule(5.0, 0.1), num_iterations,
                         generators)
-    current = starts.copy()
-    energy = batched_energies(matrix, current)
-    kernel = FusedSAKernel(
-        matrix=scipy_sparse.csr_matrix(matrix) if sparse else matrix,
-        offset=0.0, driver=driver, single_flip=True, moves_per_iteration=1,
-        current=current, current_energy=energy,
-        accept_filter_batch=(_unconsulted_filter if constraints else None),
-        constraints=constraints or None, generators=generators)
-    return kernel
+    args = sa_kernel_args(matrix, starts.copy(), driver, generators,
+                          constraints)
+    args["feasible_batch"] = _unconsulted_filter
+    if sparse:
+        args["matrix"] = scipy_sparse.csr_matrix(matrix)
+    return make_hycim_kernel("fused", **args)
 
 
 @st.composite

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.annealing.result import SolveResult
+from repro.cim.crossbar import CrossbarConfig
+from repro.dynamics import Dynamics
 from repro.runtime import (
     derive_trial_seeds,
     register_solver,
@@ -252,6 +254,41 @@ class TestReplay:
             np.testing.assert_array_equal(
                 replayed.best_configuration,
                 batch.results[index].best_configuration)
+
+    def test_vectorized_software_replay_is_exact(self, small_qkp):
+        batch = run_trials(small_qkp, "hycim", num_trials=4, params=HYCIM_FAST,
+                           backend="vectorized", master_seed=13)
+        for index in range(4):
+            replayed = replay_trial(small_qkp, batch, index)
+            original = batch.results[index]
+            assert replayed.best_energy == original.best_energy
+            np.testing.assert_array_equal(replayed.best_configuration,
+                                          original.best_configuration)
+            assert replayed.num_accepted_moves == original.num_accepted_moves
+
+    def test_shared_noisy_chip_group_refuses_replay(self, small_qkp):
+        # A replica group on one noisy crossbar draws its read noise from a
+        # single stream, so a lone replay would anneal a different trial.
+        params = dict(HYCIM_FAST, use_hardware=True,
+                      crossbar_config=CrossbarConfig(current_noise_sigma=0.02,
+                                                     adc_bits=8, seed=1))
+        batch = run_trials(small_qkp, "hycim", num_trials=4, params=params,
+                           backend="vectorized", master_seed=1)
+        with pytest.raises(ValueError, match="shared one crossbar"):
+            replay_trial(small_qkp, batch, 1)
+        # Each trial of a one-replica group owns the chip: replay is exact.
+        solo = run_trials(small_qkp, "hycim", num_trials=2, params=params,
+                          backend="vectorized", chunk_size=1, master_seed=1)
+        assert replay_trial(small_qkp, solo, 1).best_energy == \
+            solo.results[1].best_energy
+
+    def test_coupled_dynamics_refuse_replay(self, small_qkp):
+        batch = run_trials(small_qkp, "hycim", num_trials=2, params=HYCIM_FAST,
+                           backend="vectorized", master_seed=1,
+                           dynamics=Dynamics(rng_mode="shared"))
+        with pytest.raises(ValueError,
+                           match="cannot be replayed.*coupled dynamics"):
+            replay_trial(small_qkp, batch, 0)
 
     def test_replay_index_out_of_range(self, small_qkp):
         batch = run_trials(small_qkp, "hycim", num_trials=2, params=HYCIM_FAST,
